@@ -29,7 +29,8 @@
 // anyway, and exits nonzero.
 //
 // Segmented directories may also hold checkpoint files (ckpt-*.ckpt) written
-// by internal/checkpoint. walcheck verifies each one's checksum, seeds the
+// by internal/checkpoint. walcheck verifies each one's checksum, prints its
+// applied index and file format version (1: gob body, 2: varint body), seeds the
 // site's version chains from the newest valid checkpoint before replaying the
 // WAL suffix above its applied index, and cross-checks that the truncated WAL
 // still meets the checkpoint (a first record more than one index above the
@@ -231,7 +232,8 @@ func checkLog(path string, site message.SiteID, rec *sgraph.Recorder) (bool, err
 }
 
 // seedFromCheckpoint audits the checkpoint files beside a segmented WAL:
-// every ckpt-*.ckpt is checksum-verified (a mismatch is corruption), orphaned
+// every ckpt-*.ckpt is checksum-verified (a mismatch is corruption) and
+// listed with its applied index and file format version, orphaned
 // ckpt-*.ckpt.tmp files are reported, and the newest valid checkpoint seeds
 // the recorder with the site's retained version chains. It returns the
 // checkpoint's applied index (the replay floor), a note for the per-site
@@ -250,6 +252,7 @@ func seedFromCheckpoint(dir string, site message.SiteID, rec *sgraph.Recorder) (
 			corrupt = true
 			continue
 		}
+		fmt.Printf("%-24s checkpoint at index %d: format v%d, %d keys\n", f, ck.Applied, ck.Format, len(ck.Entries))
 		newest = ck // Files sorts ascending, so the last valid one is newest.
 	}
 	if tmps, err := checkpoint.TempFiles(dir); err == nil {

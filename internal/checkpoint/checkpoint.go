@@ -15,6 +15,7 @@
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -22,8 +23,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"time"
 
@@ -35,8 +38,30 @@ import (
 // checksum validation.
 var ErrCorrupt = errors.New("checkpoint: corrupt file")
 
-// magic identifies a checkpoint file ("rpCK" + format version 1).
-var magic = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 1}
+// File format. Every checkpoint starts with a 16-byte header: an 8-byte
+// magic ("rpCK" + big-endian format version), the body length, and the
+// body's CRC32 (both little-endian uint32).
+//
+// Version 1 (read-only, kept so directories written before version 2 still
+// recover): the body is one gob-encoded Checkpoint.
+//
+// Version 2: the body is a uvarint-length-prefixed gob blob of the small
+// {Applied, Stack, Shard} part, then a uvarint entry count and the entries
+// in a varint binary layout:
+//
+//	key:      uvarint len, bytes
+//	replace:  1 byte (0 or 1)
+//	versions: uvarint count, then per version
+//	          uvarint index, varint site, uvarint seq, uvarint len, value
+//
+// Entries are in no particular order (Restore builds a map). Write streams
+// the body straight into the file and back-fills the header.
+var (
+	magicV1 = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 1}
+	magicV2 = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 2}
+)
+
+const headerBytes = 16
 
 // Checkpoint is the durable unit: the store's full state at an applied
 // commit index plus the broadcast stack's progress frontiers, so a
@@ -52,6 +77,17 @@ type Checkpoint struct {
 	// restart through it, so a crashed member's orphaned prepares can
 	// still be terminated.
 	Shard *message.ShardRecovery
+	// Format is the file format version Read found (1 or 2). It is not
+	// persisted; Write always writes the current version.
+	Format int
+}
+
+// meta is the gob-encoded head of a version-2 body: everything except the
+// entries.
+type meta struct {
+	Applied uint64
+	Stack   *message.StackSync
+	Shard   *message.ShardRecovery
 }
 
 // filePath names the checkpoint at applied index idx inside dir. The index
@@ -91,28 +127,59 @@ func IndexOf(path string) (uint64, error) {
 	return idx, nil
 }
 
-// Write persists ck into dir: encode, checksum, write to a temp file,
-// fsync, rename into place, fsync the directory. Returns the final path
-// and the file's size in bytes.
+// Write persists ck into dir in the current format: stream the body to a
+// temp file, back-fill the header, fsync, rename into place, fsync the
+// directory. Returns the final path and the file's size in bytes.
 func Write(dir string, ck *Checkpoint) (string, int64, error) {
-	message.RegisterGob()
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(ck); err != nil {
+	head, err := encodeMeta(ck)
+	if err != nil {
 		return "", 0, err
 	}
-	var hdr [16]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(body.Len()))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(body.Bytes()))
+	return writeFile(dir, ck.Applied, head, ck.Entries)
+}
 
-	final := filePath(dir, ck.Applied)
+// encodeMeta gob-encodes the part of ck that is not its entries. The
+// checkpointer runs it on the event loop: unlike the entries, whose store
+// only ever appends past them, the stack and shard exports may share state
+// the engine goes on mutating.
+func encodeMeta(ck *Checkpoint) ([]byte, error) {
+	message.RegisterGob()
+	var b bytes.Buffer
+	err := gob.NewEncoder(&b).Encode(meta{Applied: ck.Applied, Stack: ck.Stack, Shard: ck.Shard})
+	return b.Bytes(), err
+}
+
+// writeBufBytes sizes the buffer the body streams through; yieldBytes is
+// how much body writeBody encodes between yields of its processor.
+const (
+	writeBufBytes = 256 << 10
+	yieldBytes    = 64 << 10
+)
+
+// writeFile writes a version-2 checkpoint at applied from an encoded meta
+// blob and the entries, never holding the whole body in memory.
+func writeFile(dir string, applied uint64, head []byte, entries []message.SnapshotEntry) (string, int64, error) {
+	final := filePath(dir, applied)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return "", 0, err
 	}
-	if _, err = f.Write(hdr[:]); err == nil {
-		_, err = f.Write(body.Bytes())
+	_, err = f.Seek(headerBytes, io.SeekStart)
+	var n int64
+	var sum uint32
+	if err == nil {
+		n, sum, err = writeBody(f, head, entries)
+	}
+	if err == nil && n > math.MaxUint32 {
+		err = fmt.Errorf("checkpoint: body of %d bytes exceeds the format's 4 GiB limit", n)
+	}
+	if err == nil {
+		var hdr [headerBytes]byte
+		copy(hdr[:8], magicV2[:])
+		binary.LittleEndian.PutUint32(hdr[8:12], uint32(n))
+		binary.LittleEndian.PutUint32(hdr[12:16], sum)
+		_, err = f.WriteAt(hdr[:], 0)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -131,7 +198,57 @@ func Write(dir string, ck *Checkpoint) (string, int64, error) {
 	if err := syncDir(dir); err != nil {
 		return final, 0, err
 	}
-	return final, int64(16 + body.Len()), nil
+	return final, headerBytes + n, nil
+}
+
+// writeBody streams a version-2 body into w through one buffer, returning
+// its length and CRC32.
+func writeBody(w io.Writer, head []byte, entries []message.SnapshotEntry) (int64, uint32, error) {
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), writeBufBytes)
+	b := bw.AvailableBuffer()
+	b = binary.AppendUvarint(b, uint64(len(head)))
+	b = append(b, head...)
+	b = binary.AppendUvarint(b, uint64(len(entries)))
+	n := int64(len(b))
+	var yielded int64
+	if _, err := bw.Write(b); err != nil {
+		return 0, 0, err
+	}
+	for i := range entries {
+		e := &entries[i]
+		b = bw.AvailableBuffer()
+		b = binary.AppendUvarint(b, uint64(len(e.Key)))
+		b = append(b, e.Key...)
+		if e.Replace {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		b = binary.AppendUvarint(b, uint64(len(e.Versions)))
+		for _, v := range e.Versions {
+			b = binary.AppendUvarint(b, v.Index)
+			b = binary.AppendVarint(b, int64(v.Writer.Site))
+			b = binary.AppendUvarint(b, v.Writer.Seq)
+			b = binary.AppendUvarint(b, uint64(len(v.Value)))
+			b = append(b, v.Value...)
+		}
+		n += int64(len(b))
+		if _, err := bw.Write(b); err != nil {
+			return 0, 0, err
+		}
+		if n-yielded >= yieldBytes {
+			// Off the loop, the encoder competes with the event loops for
+			// the processors; yielding bounds how long a loop goroutine
+			// that became runnable waits behind it.
+			runtime.Gosched()
+			yielded = n
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, 0, err
+	}
+	return n, crc.Sum32(), nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss.
@@ -147,38 +264,206 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Read loads and validates one checkpoint file.
+// Read loads and validates one checkpoint file of either format version.
+// A header that claims more body than the file holds is rejected before
+// anything is allocated, and the version-2 entry section allocates nothing
+// in proportion to a count the body claims but does not contain. The gob
+// parts (a version-1 body, the version-2 meta) trust the checksum: it
+// guards against corruption, not forgery.
 func Read(path string) (*Checkpoint, error) {
-	message.RegisterGob()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var hdr [16]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return read(f, fi.Size())
+}
+
+// read decodes a checkpoint file of fileSize bytes from r.
+func read(r io.Reader, fileSize int64) (*Checkpoint, error) {
+	var hdr [headerBytes]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header (%v)", ErrCorrupt, err)
 	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
+	var magic [8]byte
+	copy(magic[:], hdr[:8])
+	if magic != magicV1 && magic != magicV2 {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	size := binary.LittleEndian.Uint32(hdr[8:12])
+	size := int64(binary.LittleEndian.Uint32(hdr[8:12]))
 	sum := binary.LittleEndian.Uint32(hdr[12:16])
-	if size > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible body size %d", ErrCorrupt, size)
+	if size > fileSize-headerBytes {
+		return nil, fmt.Errorf("%w: short body (header claims %d bytes, file holds %d)", ErrCorrupt, size, fileSize-headerBytes)
 	}
 	body := make([]byte, size)
-	if _, err := io.ReadFull(f, body); err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("%w: short body (%v)", ErrCorrupt, err)
 	}
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
+	return decodeBody(magic, body)
+}
+
+// decodeBody decodes a checksum-verified body of the version magic names.
+func decodeBody(magic [8]byte, body []byte) (*Checkpoint, error) {
+	if magic == magicV1 {
+		return decodeV1(body)
+	}
+	return decodeV2(body)
+}
+
+// decodeV1 decodes a version-1 (whole-gob) body.
+func decodeV1(body []byte) (*Checkpoint, error) {
+	message.RegisterGob()
 	ck := new(Checkpoint)
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(ck); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	ck.Format = 1
 	return ck, nil
+}
+
+// decodeV2 decodes a version-2 body. Version values alias body (one
+// allocation for all of them); keys are copied into strings.
+func decodeV2(body []byte) (*Checkpoint, error) {
+	d := decoder{b: body}
+	head := d.bytes(d.uvarint())
+	if d.err != nil {
+		return nil, d.corrupt("meta length")
+	}
+	message.RegisterGob()
+	var m meta
+	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&m); err != nil {
+		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
+	}
+	// An entry takes at least 3 bytes (key length, replace flag, version
+	// count), a version at least 4: counts beyond what the remaining body
+	// could hold are corruption, not allocation requests.
+	n := d.count(3)
+	if d.err != nil {
+		return nil, d.corrupt("entry count")
+	}
+	ck := &Checkpoint{Applied: m.Applied, Stack: m.Stack, Shard: m.Shard, Format: 2}
+	if n > 0 { // empty stays nil, as gob decodes it
+		ck.Entries = make([]message.SnapshotEntry, n)
+	}
+	for i := range ck.Entries {
+		e := &ck.Entries[i]
+		e.Key = message.Key(d.bytes(d.uvarint()))
+		switch flag := d.byte(); flag {
+		case 0:
+		case 1:
+			e.Replace = true
+		default:
+			if d.err == nil {
+				return nil, fmt.Errorf("%w: entry %d: replace flag %d", ErrCorrupt, i, flag)
+			}
+		}
+		nv := d.count(4)
+		if d.err != nil {
+			return nil, d.corrupt(fmt.Sprintf("entry %d", i))
+		}
+		if nv > 0 {
+			e.Versions = make([]message.VersionRec, nv)
+		}
+		for j := range e.Versions {
+			v := &e.Versions[j]
+			v.Index = d.uvarint()
+			v.Writer.Site = message.SiteID(d.varint())
+			v.Writer.Seq = d.uvarint()
+			if val := d.bytes(d.uvarint()); len(val) > 0 {
+				v.Value = message.Value(val[:len(val):len(val)])
+			}
+		}
+		if d.err != nil {
+			return nil, d.corrupt(fmt.Sprintf("entry %d", i))
+		}
+	}
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(d.b))
+	}
+	return ck, nil
+}
+
+// decoder reads the varint layout; the first failure sticks in err and
+// every later read returns zero values.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) corrupt(what string) error {
+	return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, d.err)
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.err = errors.New("bad uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.err = errors.New("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) byte() byte {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.b) == 0 {
+		d.err = io.ErrUnexpectedEOF
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *decoder) bytes(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.b)) {
+		d.err = io.ErrUnexpectedEOF
+		return nil
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
+}
+
+// count reads an element count and rejects one the rest of the body cannot
+// hold at minBytes per element.
+func (d *decoder) count(minBytes uint64) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.b))/minBytes {
+		d.err = fmt.Errorf("count %d exceeds the %d bytes left", n, len(d.b))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 // Latest loads the newest valid checkpoint in dir, skipping corrupt or
@@ -307,7 +592,10 @@ func (p Policy) Enabled() bool { return p.Dir != "" }
 // Source is how the checkpointer reads the engine's state. Every hook runs
 // on the site's event loop, so no locking is needed.
 type Source struct {
-	// Capture serializes the current store + stack state.
+	// Capture returns the current store + stack state. Its Entries may
+	// share the store's version arrays (storage.Store.View): with an
+	// offloading runtime they are encoded off the loop while the loop
+	// keeps applying, which the store's append-only invariant makes safe.
 	Capture func() *Checkpoint
 	// Barrier flushes any buffered group commit so the WAL is consistent
 	// with the captured state, returning the pipeline's LSN (diagnostics).
@@ -315,9 +603,11 @@ type Source struct {
 	// WALBytes reports bytes appended to the WAL so far (the
 	// bytes-since-last trigger input). Nil disables the bytes trigger.
 	WALBytes func() int64
-	// Observe, when non-nil, is called after each successful checkpoint
-	// with its wall latency, file bytes, applied index, and how many WAL
-	// segments were truncated. core wires it to trace spans and metrics.
+	// Observe, when non-nil, is called on the loop after each successful
+	// checkpoint with the capture's start time, file bytes, applied index,
+	// and how many WAL segments were truncated. The checkpoint is durable
+	// when it runs, so now-start spans capture to durable. core wires it
+	// to trace spans and metrics.
 	Observe func(start time.Duration, bytes int64, applied uint64, truncated int)
 }
 
@@ -338,18 +628,28 @@ type Runtime struct {
 	SetTimer func(d time.Duration, fn func())
 	Now      func() time.Duration
 	Logf     func(format string, args ...any)
+	// Offload, when non-nil, runs work off the event loop and afterwards
+	// runs done on the loop; done may be dropped if the runtime shuts down
+	// first. With it a checkpoint holds the loop only for the barrier and
+	// the capture, and the encode, write, fsync, prune and WAL truncation
+	// happen in work. Without it (the simulator) Run does everything
+	// inline, deterministically.
+	Offload func(work, done func())
 }
 
 // Checkpointer periodically persists checkpoints and truncates the WAL.
 // It is driven entirely by event-loop timers: Start arms the first timer,
-// and each run re-arms it, so all state access stays single-threaded.
+// and each run re-arms it, so all state access stays single-threaded. At
+// most one checkpoint is in flight; the persist half may run off the loop
+// (Runtime.Offload), and only its result is handed back.
 type Checkpointer struct {
 	pol   Policy
 	src   Source
 	rt    Runtime
 	stats Stats
 
-	lastWALBytes int64 // WALBytes() reading at the last checkpoint
+	lastWALBytes int64 // WALBytes() reading at the last checkpoint's capture
+	busy         bool  // a checkpoint's persist is in flight off the loop
 }
 
 // NewCheckpointer wires a checkpointer; returns nil when the policy is
@@ -413,24 +713,37 @@ func (c *Checkpointer) arm() {
 	c.rt.SetTimer(d, c.tick)
 }
 
-// tick runs on the event loop: checkpoint if a trigger fired, re-arm.
+// tick runs on the event loop: checkpoint if a trigger fired and none is
+// in flight, re-arm.
 func (c *Checkpointer) tick() {
 	due := c.pol.Interval > 0 // timer-driven policies checkpoint every tick
 	if c.pol.MaxWALBytes > 0 && c.src.WALBytes != nil &&
 		c.src.WALBytes()-c.lastWALBytes >= c.pol.MaxWALBytes {
 		due = true
 	}
-	if due {
+	if due && !c.busy {
 		c.Run()
 	}
 	c.arm()
 }
 
-// Run takes one checkpoint now: barrier, capture, write, prune, truncate.
-// Called from the event loop (tick, or tests driving it directly). Safe on
-// a nil receiver. Returns the checkpoint path ("" on error or no-op).
+// persisted is what the off-loop half of a checkpoint hands back.
+type persisted struct {
+	path      string
+	bytes     int64
+	truncated int
+	writeErr  error
+	errs      []error // prune and truncation failures (the checkpoint itself is durable)
+}
+
+// Run takes one checkpoint now: barrier and capture on the loop, then
+// encode, write, prune and truncate — off the loop when the runtime can
+// offload, inline otherwise. Called from the event loop (tick, or tests
+// driving it directly). Safe on a nil receiver. Returns the checkpoint
+// path when it completed inline, "" on error, no-op, or when the persist
+// was offloaded (or another is still in flight).
 func (c *Checkpointer) Run() string {
-	if c == nil {
+	if c == nil || c.busy {
 		return ""
 	}
 	start := c.rt.Now()
@@ -441,39 +754,76 @@ func (c *Checkpointer) Run() string {
 	if ck == nil || ck.Applied == 0 {
 		return "" // nothing committed yet; an empty checkpoint has no value
 	}
+	var walBytes int64
+	if c.src.WALBytes != nil {
+		walBytes = c.src.WALBytes()
+	}
 	if ck.Applied <= c.stats.LastIndex && c.stats.Checkpoints > 0 {
 		// Nothing new committed since the last checkpoint; skip the I/O
 		// but refresh the bytes floor (retransmissions may have grown it).
-		if c.src.WALBytes != nil {
-			c.lastWALBytes = c.src.WALBytes()
-		}
+		c.lastWALBytes = walBytes
 		return ""
 	}
-	path, bytes, err := Write(c.pol.Dir, ck)
+	head, err := encodeMeta(ck)
 	if err != nil {
 		c.stats.Errors++
-		c.rt.Logf("checkpoint: write failed: %v", err)
+		c.rt.Logf("checkpoint: encode failed: %v", err)
 		return ""
 	}
-	c.stats.Checkpoints++
-	c.stats.LastIndex = ck.Applied
-	c.stats.LastBytes = bytes
-	c.stats.LastUnix = c.rt.Now()
-	if c.src.WALBytes != nil {
-		c.lastWALBytes = c.src.WALBytes()
+	var res persisted
+	work := func() { res = c.persist(ck.Applied, head, ck.Entries) }
+	done := func() {
+		c.busy = false
+		c.finish(start, ck.Applied, walBytes, res)
+	}
+	if c.rt.Offload == nil {
+		work()
+		done()
+		return res.path
+	}
+	c.busy = true
+	c.rt.Offload(work, done)
+	return ""
+}
+
+// persist is the loop-free half of a checkpoint: write the file, prune old
+// ones, and truncate the WAL segments it covers. It touches only the
+// filesystem and its arguments, never the Checkpointer.
+func (c *Checkpointer) persist(applied uint64, head []byte, entries []message.SnapshotEntry) persisted {
+	var res persisted
+	res.path, res.bytes, res.writeErr = writeFile(c.pol.Dir, applied, head, entries)
+	if res.writeErr != nil {
+		return res
 	}
 	if _, err := Prune(c.pol.Dir, c.pol.Retain); err != nil {
-		c.stats.Errors++
-		c.rt.Logf("checkpoint: prune failed: %v", err)
+		res.errs = append(res.errs, fmt.Errorf("prune failed: %w", err))
 	}
-	n, err := storage.TruncateSegments(c.pol.Dir, ck.Applied)
+	n, err := storage.TruncateSegments(c.pol.Dir, applied)
 	if err != nil {
+		res.errs = append(res.errs, fmt.Errorf("wal truncation failed: %w", err))
+	}
+	res.truncated = n
+	return res
+}
+
+// finish records a persisted checkpoint's outcome; it runs on the loop.
+func (c *Checkpointer) finish(start time.Duration, applied uint64, walBytes int64, res persisted) {
+	if res.writeErr != nil {
 		c.stats.Errors++
-		c.rt.Logf("checkpoint: wal truncation failed: %v", err)
+		c.rt.Logf("checkpoint: write failed: %v", res.writeErr)
+		return
 	}
-	c.stats.SegmentsTruncated += n
+	c.stats.Checkpoints++
+	c.stats.LastIndex = applied
+	c.stats.LastBytes = res.bytes
+	c.stats.LastUnix = c.rt.Now()
+	c.lastWALBytes = walBytes
+	for _, err := range res.errs {
+		c.stats.Errors++
+		c.rt.Logf("checkpoint: %v", err)
+	}
+	c.stats.SegmentsTruncated += res.truncated
 	if c.src.Observe != nil {
-		c.src.Observe(start, bytes, ck.Applied, n)
+		c.src.Observe(start, res.bytes, applied, res.truncated)
 	}
-	return path
 }

@@ -1,10 +1,16 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -423,5 +429,202 @@ func TestNilCheckpointerSafe(t *testing.T) {
 	}
 	if p := c.Policy(); p.Enabled() {
 		t.Fatalf("nil Policy = %+v", p)
+	}
+}
+
+// writeV1 writes ck the way format version 1 did: one gob-encoded
+// checkpoint body behind the 16-byte header with the version-1 magic.
+func writeV1(t *testing.T, dir string, ck *Checkpoint) string {
+	t.Helper()
+	message.RegisterGob()
+	// The field set version 1 encoded (Format did not exist).
+	type v1Checkpoint struct {
+		Applied uint64
+		Entries []message.SnapshotEntry
+		Stack   *message.StackSync
+		Shard   *message.ShardRecovery
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(v1Checkpoint{Applied: ck.Applied, Entries: ck.Entries, Stack: ck.Stack, Shard: ck.Shard}); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [headerBytes]byte
+	copy(hdr[:8], magicV1[:])
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(body.Len()))
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(body.Bytes()))
+	path := filePath(dir, ck.Applied)
+	if err := os.WriteFile(path, append(hdr[:], body.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestV1CheckpointStillRecovers: a directory written before format version
+// 2 (gob body) must still load and recover after an upgrade, and a newer
+// version-2 checkpoint beside it takes over.
+func TestV1CheckpointStillRecovers(t *testing.T) {
+	dir := t.TempDir()
+	fillWAL(t, dir, 5)
+	ck := storeAt(t, 3)
+	ck.Stack = &message.StackSync{CausalVC: vclock.VC{1, 2, 3}}
+	path := writeV1(t, dir, ck)
+	got, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Format != 1 || got.Applied != 3 || !reflect.DeepEqual(got.Entries, ck.Entries) || got.Stack.CausalVC[2] != 3 {
+		t.Fatalf("v1 read = %+v", got)
+	}
+	if _, err := storage.TruncateSegments(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	st, w, info, err := Recover(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.CheckpointIndex != 3 || info.Replayed != 2 || st.Applied() != 5 || info.Stack == nil {
+		t.Fatalf("recovery from a v1 checkpoint: applied %d, info %+v", st.Applied(), info)
+	}
+	w.Close()
+
+	// The next checkpoint is written as version 2 and wins.
+	if _, _, err := Write(dir, &Checkpoint{Applied: st.Applied(), Entries: st.View()}); err != nil {
+		t.Fatal(err)
+	}
+	latest, _, err := Latest(dir)
+	if err != nil || latest == nil || latest.Format != 2 || latest.Applied != 5 {
+		t.Fatalf("latest after upgrade = %+v, %v", latest, err)
+	}
+}
+
+// TestWriteV2Layout: Write produces the version-2 magic, a header whose
+// length and checksum cover exactly the rest of the file, and a body that
+// round-trips every field, including the Replace flag, large indexes,
+// empty keys and values, and several versions per key.
+func TestWriteV2Layout(t *testing.T) {
+	dir := t.TempDir()
+	want := &Checkpoint{
+		Applied: 1 << 40,
+		Entries: []message.SnapshotEntry{
+			{Key: "z", Replace: true, Versions: []message.VersionRec{{Index: 1 << 40, Writer: txn(7, 1<<33), Value: message.Value("zz")}}},
+			{Key: "", Versions: []message.VersionRec{{Index: 2, Writer: txn(0, 0)}}},
+			{Key: "a", Versions: []message.VersionRec{
+				{Index: 3, Writer: txn(1, 1), Value: message.Value(strings.Repeat("v", 300))},
+				{Index: 9, Writer: txn(2, 5), Value: message.Value("x")},
+			}},
+		},
+		Stack:  &message.StackSync{CausalVC: vclock.VC{0, 4}},
+		Format: 2,
+	}
+	path, size, err := Write(dir, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(b)) != size || !bytes.Equal(b[:8], magicV2[:]) {
+		t.Fatalf("file %d bytes (reported %d), magic %q", len(b), size, b[:8])
+	}
+	if n := binary.LittleEndian.Uint32(b[8:12]); int(n) != len(b)-headerBytes {
+		t.Fatalf("header length %d, body is %d bytes", n, len(b)-headerBytes)
+	}
+	if sum := binary.LittleEndian.Uint32(b[12:16]); sum != crc32.ChecksumIEEE(b[headerBytes:]) {
+		t.Fatal("header checksum does not cover the body")
+	}
+	got, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReadRejectsOversizedClaim: a header claiming more body than the file
+// holds is corrupt, and is rejected before the claimed size is allocated.
+func TestReadRejectsOversizedClaim(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt-0000000000000001.ckpt")
+	var hdr [headerBytes]byte
+	copy(hdr[:8], magicV2[:])
+	binary.LittleEndian.PutUint32(hdr[8:12], 1<<30)
+	if err := os.WriteFile(path, append(hdr[:], 1, 2, 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(path)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a 3-byte body allocated %d bytes", grew)
+	}
+}
+
+// TestCheckpointerOffload: with an offloading runtime, Run holds the loop
+// only for barrier and capture. The persist runs in work; stats, the bytes
+// floor and Observe change only when done runs; and no second checkpoint
+// starts while one is in flight.
+func TestCheckpointerOffload(t *testing.T) {
+	dir := t.TempDir()
+	st, l, src := runSource(t, dir)
+	captures, observed := 0, 0
+	capture := src.Capture
+	src.Capture = func() *Checkpoint { captures++; return capture() }
+	src.Observe = func(time.Duration, int64, uint64, int) { observed++ }
+	var work, done func()
+	rt := Runtime{
+		SetTimer: func(time.Duration, func()) {},
+		Offload:  func(w, d func()) { work, done = w, d },
+	}
+	c := NewCheckpointer(Policy{Dir: dir, MaxWALBytes: 100, Retain: 1}, src, rt)
+	for i := 1; i <= 6; i++ {
+		if err := st.Apply(txn(0, i), []message.KV{kv("k", fmt.Sprintf("v%d-padpadpadpadpadpadpad", i))}, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	captured := l.AppendedBytes()
+	c.tick()
+	if work == nil || !c.busy || captures != 1 {
+		t.Fatalf("tick past the threshold did not offload (busy %v, captures %d)", c.busy, captures)
+	}
+	if files, _ := Files(dir); len(files) != 0 || c.Stats().Checkpoints != 0 {
+		t.Fatalf("persist ran on the loop: files %v, stats %+v", files, c.Stats())
+	}
+
+	// The loop keeps committing while the persist is in flight; ticks skip.
+	big := strings.Repeat("x", 200)
+	if err := st.Apply(txn(0, 7), []message.KV{kv("k", big)}, 7); err != nil {
+		t.Fatal(err)
+	}
+	c.tick()
+	if captures != 1 {
+		t.Fatalf("a second checkpoint started while one was in flight (%d captures)", captures)
+	}
+
+	work()
+	if files, _ := Files(dir); len(files) != 1 {
+		t.Fatalf("work did not write the checkpoint: %v", files)
+	}
+	if c.Stats().Checkpoints != 0 || observed != 0 {
+		t.Fatal("stats or Observe changed before done ran on the loop")
+	}
+	done()
+	s := c.Stats()
+	if c.busy || s.Checkpoints != 1 || s.LastIndex != 6 || s.SegmentsTruncated == 0 || observed != 1 {
+		t.Fatalf("after done: busy %v, stats %+v, observed %d", c.busy, s, observed)
+	}
+	if c.lastWALBytes != captured {
+		t.Fatalf("bytes floor %d, want the capture-time reading %d", c.lastWALBytes, captured)
+	}
+	// The commit that landed during the persist is past the floor: the
+	// next tick checkpoints it.
+	work = nil
+	c.tick()
+	if work == nil || captures != 2 {
+		t.Fatal("the next tick did not checkpoint the commit made during the persist")
 	}
 }

@@ -332,8 +332,10 @@ type Stats struct {
 	StateChunksSent  int64
 	StateBytesSent   int64
 	StateEntriesSent int64
-	// CheckpointLatency observes the wall time of each durable checkpoint
-	// (barrier through WAL truncation).
+	// CheckpointLatency observes the wall time of each durable checkpoint,
+	// from the barrier and capture on the loop until the persisted result
+	// (file written, old checkpoints pruned, WAL truncated) is back on the
+	// loop.
 	CheckpointLatency *metrics.Histogram
 }
 
@@ -429,38 +431,60 @@ func newBase(rt env.Runtime, cfg Config, name string) *base {
 
 // initCheckpoint wires the background checkpointer when Config.Checkpoint
 // is enabled. exportStack captures the engine's broadcast-stack frontiers
-// alongside the store (nil for the stackless baseline/quorum engines). All
-// hooks run on the event loop.
+// alongside the store (nil for the stackless baseline/quorum engines).
 func (b *base) initCheckpoint(exportStack func() *message.StackSync) {
-	if !b.cfg.Checkpoint.Enabled() {
-		return
+	var extra func(*checkpoint.Checkpoint)
+	if exportStack != nil {
+		extra = func(ck *checkpoint.Checkpoint) { ck.Stack = exportStack() }
+	}
+	b.ckpt = newCheckpointer(b.rt, b.cfg.Checkpoint, b.store, b.pipe, b.stats.CheckpointLatency, b.tr, extra)
+}
+
+// offloader is the optional env.Runtime extension that runs work off the
+// event loop and then done back on it. livenet.Host implements it; the
+// simulator does not, so simulated checkpoints stay inline and
+// deterministic.
+type offloader interface {
+	Offload(work, done func())
+}
+
+// newCheckpointer wires one store's background checkpointer (nil when pol
+// is disabled). The fully replicated engines and every sharded group share
+// it. A checkpoint captures a View of st, plus whatever extra fills in
+// (stack frontiers, shard state), on the loop; the persist runs off the
+// loop when rt can offload. lat and the KindCheckpoint span measure
+// capture to durable. All hooks run on the event loop.
+func newCheckpointer(rt env.Runtime, pol checkpoint.Policy, st *storage.Store, pipe *commitpipe.Pipeline,
+	lat *metrics.Histogram, tr *trace.Tracer, extra func(*checkpoint.Checkpoint)) *checkpoint.Checkpointer {
+	if !pol.Enabled() {
+		return nil
 	}
 	src := checkpoint.Source{
 		Capture: func() *checkpoint.Checkpoint {
-			ck := &checkpoint.Checkpoint{
-				Applied: b.store.Applied(),
-				Entries: b.store.Snapshot(),
-			}
-			if exportStack != nil {
-				ck.Stack = exportStack()
+			ck := &checkpoint.Checkpoint{Applied: st.Applied(), Entries: st.View()}
+			if extra != nil {
+				extra(ck)
 			}
 			return ck
 		},
-		Barrier: b.pipe.Barrier,
-		Observe: func(start time.Duration, bytes int64, applied uint64, truncated int) {
-			b.stats.CheckpointLatency.Observe(b.rt.Now() - start)
-			b.tr.Interval(message.TxnID{}, trace.KindCheckpoint, start, applied, b.rt.ID(), bytes)
+		Barrier: pipe.Barrier,
+		Observe: func(start time.Duration, bytes int64, applied uint64, _ int) {
+			lat.Observe(rt.Now() - start)
+			tr.Interval(message.TxnID{}, trace.KindCheckpoint, start, applied, rt.ID(), bytes)
 		},
 	}
-	if w := b.store.WAL(); w != nil {
+	if w := st.WAL(); w != nil {
 		src.WALBytes = w.AppendedBytes
 	}
-	rt := checkpoint.Runtime{
-		SetTimer: func(d time.Duration, fn func()) { b.rt.SetTimer(d, fn) },
-		Now:      b.rt.Now,
-		Logf:     b.rt.Logf,
+	crt := checkpoint.Runtime{
+		SetTimer: func(d time.Duration, fn func()) { rt.SetTimer(d, fn) },
+		Now:      rt.Now,
+		Logf:     rt.Logf,
 	}
-	b.ckpt = checkpoint.NewCheckpointer(b.cfg.Checkpoint, src, rt)
+	if o, ok := rt.(offloader); ok {
+		crt.Offload = o.Offload
+	}
+	return checkpoint.NewCheckpointer(pol, src, crt)
 }
 
 // startCheckpoint arms the checkpointer's trigger (no-op when disabled).

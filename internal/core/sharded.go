@@ -343,34 +343,12 @@ func (g *shardGroup) initCheckpoint(cfg Config) {
 	if cfg.GroupCheckpoint == nil {
 		return
 	}
-	pol := cfg.GroupCheckpoint(g.id)
-	if !pol.Enabled() {
-		return
-	}
 	e := g.eng
-	src := checkpoint.Source{
-		Capture: func() *checkpoint.Checkpoint {
-			return &checkpoint.Checkpoint{
-				Applied: g.store.Applied(),
-				Entries: g.store.Snapshot(),
-				Stack:   g.stack.ExportSync(),
-				Shard:   g.exportShard(),
-			}
-		},
-		Barrier: g.pipe.Barrier,
-		Observe: func(start time.Duration, bytes int64, applied uint64, truncated int) {
-			e.stats.CheckpointLatency.Observe(e.rt.Now() - start)
-			e.tr.Interval(message.TxnID{}, trace.KindCheckpoint, start, applied, e.rt.ID(), bytes)
-		},
-	}
-	if w := g.store.WAL(); w != nil {
-		src.WALBytes = w.AppendedBytes
-	}
-	g.ckpt = checkpoint.NewCheckpointer(pol, src, checkpoint.Runtime{
-		SetTimer: func(d time.Duration, fn func()) { e.rt.SetTimer(d, fn) },
-		Now:      e.rt.Now,
-		Logf:     e.rt.Logf,
-	})
+	g.ckpt = newCheckpointer(e.rt, cfg.GroupCheckpoint(g.id), g.store, g.pipe, e.stats.CheckpointLatency, e.tr,
+		func(ck *checkpoint.Checkpoint) {
+			ck.Stack = g.stack.ExportSync()
+			ck.Shard = g.exportShard()
+		})
 }
 
 // Start implements env.Node.

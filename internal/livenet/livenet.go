@@ -8,9 +8,10 @@
 // expiry) is serialized by one mutex — the "event loop" — preserving the
 // engines' single-threaded assumptions. The locking contract is:
 //
-//   - SetTimer, CancelTimer, Rand, and all env.Node callbacks run on the
-//     event loop; they must not be called from arbitrary goroutines.
-//     External code reaches the loop through Do.
+//   - SetTimer, CancelTimer, Rand, Offload, and all env.Node callbacks run
+//     on the event loop; they must not be called from arbitrary goroutines.
+//     External code reaches the loop through Do; Offload is the way back
+//     out for work (a checkpoint's persist) that must not hold it.
 //   - Send, Counters, PeerStats, Addr, ID, Peers, Now, Logf, and Close are
 //     safe from any goroutine once Start has returned. Send is also safe
 //     from the event loop itself (engines call it inside callbacks).
@@ -486,6 +487,23 @@ func (h *Host) Do(fn func()) {
 		return
 	}
 	fn()
+}
+
+// Offload runs work on a goroutine of its own, off the event loop, then
+// runs done on the loop through Do. The goroutine counts toward Close,
+// which waits for work to finish; done is dropped when the host has closed
+// by then. The core engines use it to persist checkpoints without holding
+// the loop. Event-loop only, like SetTimer: a call from the loop is what
+// guarantees the host is not yet closing.
+//
+// reprolint:looponly
+func (h *Host) Offload(work, done func()) {
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		work()
+		h.Do(done)
+	}()
 }
 
 // newEncoder and newDecoder expose the wire codec for tests.

@@ -176,7 +176,7 @@ func (m *Manager) Acquire(txn message.TxnID, key message.Key, mode Mode, wait bo
 	if !wait {
 		return Conflict
 	}
-	e.queue = append(e.queue, waiter{txn: txn, mode: mode, grant: grant})
+	e.queue = append(e.queue, waiter{txn: txn, mode: mode, grant: grant, at: m.clock()})
 	m.noteWait(txn, key)
 	return Queued
 }

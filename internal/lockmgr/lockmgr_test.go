@@ -3,8 +3,10 @@ package lockmgr
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/message"
+	"repro/internal/trace"
 )
 
 func txn(site, seq int) message.TxnID {
@@ -251,5 +253,44 @@ func TestModeAndResultStrings(t *testing.T) {
 	}
 	if Granted.String() != "granted" || Queued.String() != "queued" || Conflict.String() != "conflict" {
 		t.Fatal("result strings")
+	}
+}
+
+// TestQueuedWaitSpanStamped: an ordinary (non-upgrade) queued acquisition
+// must stamp its enqueue time, so its lock-wait span starts when the wait
+// began, not at clock zero.
+func TestQueuedWaitSpanStamped(t *testing.T) {
+	var now time.Duration
+	clock := func() time.Duration { return now }
+	m := New()
+	m.Tracer = trace.New(0, 16, clock)
+	m.Now = clock
+	a, b := message.TxnID{Site: 0, Seq: 1}, message.TxnID{Site: 1, Seq: 1}
+
+	now = 5 * time.Millisecond
+	if r := m.Acquire(a, "k", Exclusive, true, nil); r != Granted {
+		t.Fatalf("first acquire = %v", r)
+	}
+	now = 7 * time.Millisecond
+	granted := false
+	if r := m.Acquire(b, "k", Exclusive, true, func() { granted = true }); r != Queued {
+		t.Fatalf("conflicting acquire = %v, want Queued", r)
+	}
+	now = 10 * time.Millisecond
+	m.ReleaseAll(a)
+	if !granted {
+		t.Fatal("queued waiter not granted on release")
+	}
+	var waits []trace.Span
+	for _, s := range m.Tracer.Spans() {
+		if s.Kind == trace.KindLockWait {
+			waits = append(waits, s)
+		}
+	}
+	if len(waits) != 1 {
+		t.Fatalf("lock-wait spans = %+v, want 1", waits)
+	}
+	if w := waits[0]; w.Trace != b || w.Start != 7*time.Millisecond || w.Duration() != 3*time.Millisecond {
+		t.Fatalf("lock-wait span = %+v, want txn %v from 7ms lasting 3ms", w, b)
 	}
 }

@@ -11,7 +11,8 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,15 +36,16 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // goroutines observe or read.
 type Histogram struct {
 	samples []time.Duration
-	// sorted caches an ordered copy of samples so repeated Quantile calls
-	// (every Summary makes several) sort once per mutation instead of
-	// once per call.
-	sorted []time.Duration
-	dirty  bool
-	count  int64
-	sum    time.Duration
-	max    time.Duration
-	cap    int
+	// scratch is a copy of samples that Quantile selects in. Selection
+	// only permutes it, so it stays valid until the samples change
+	// (dirty), and Quantile never sorts: a reader polling a histogram
+	// that keeps being observed pays O(n) per read, not O(n log n).
+	scratch []time.Duration
+	dirty   bool
+	count   int64
+	sum     time.Duration
+	max     time.Duration
+	cap     int
 	// rnd is a tiny xorshift state for the reservoir; deterministic.
 	rnd uint64
 }
@@ -98,19 +100,56 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	if h.dirty || len(h.sorted) != len(h.samples) {
-		h.sorted = append(h.sorted[:0], h.samples...)
-		sort.Slice(h.sorted, func(i, j int) bool { return h.sorted[i] < h.sorted[j] })
+	if h.dirty || len(h.scratch) != len(h.samples) {
+		h.scratch = append(h.scratch[:0], h.samples...)
 		h.dirty = false
 	}
-	idx := int(math.Ceil(q*float64(len(h.sorted)))) - 1
+	idx := int(math.Ceil(q*float64(len(h.scratch)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(h.sorted) {
-		idx = len(h.sorted) - 1
+	if idx >= len(h.scratch) {
+		idx = len(h.scratch) - 1
 	}
-	return h.sorted[idx]
+	return selectKth(h.scratch, idx)
+}
+
+// selectKth returns the k-th smallest element of s (0-based), the value a
+// full sort would put at s[k], reordering s in place. It is a quickselect
+// with a three-way partition, so runs of equal samples (batch sizes, clock
+// ticks) fall out in one pass; if pivots keep degenerating it sorts the
+// remaining range instead, which bounds the worst case at O(n log n).
+func selectKth(s []time.Duration, k int) time.Duration {
+	lo, hi := 0, len(s) // k is in [lo, hi)
+	for budget := 2 * bits.Len(uint(len(s))); hi-lo > 16 && budget > 0; budget-- {
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi-1]
+		p := max(min(a, b), min(max(a, b), c)) // median of three
+		// [lo,lt) < p, [lt,i) == p, [gt,hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := s[i]; {
+			case v < p:
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				s[gt], s[i] = v, s[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	slices.Sort(s[lo:hi])
+	return s[k]
 }
 
 // Snapshot is a histogram's statistics as plain data, for machine-readable
@@ -125,8 +164,7 @@ type Snapshot struct {
 	P99   time.Duration
 }
 
-// Snapshot captures count and quantiles in one pass; the retained samples
-// sort at most once thanks to the cached-sort invariant.
+// Snapshot captures count and quantiles in one pass.
 func (h *Histogram) Snapshot() Snapshot {
 	return Snapshot{
 		Count: h.count,

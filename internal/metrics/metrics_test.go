@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -349,5 +351,54 @@ func TestReservoirReplaceInvalidatesCache(t *testing.T) {
 	}
 	if got := a.Quantile(1.0); got != time.Second {
 		t.Fatalf("p100 after Merge replacement = %v (sort cache went stale)", got)
+	}
+}
+
+// sortedQuantile is the reference Quantile: sort a copy of the retained
+// samples and index it with the same rank rule.
+func sortedQuantile(samples []time.Duration, q float64) time.Duration {
+	s := append([]time.Duration(nil), samples...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	idx := int(math.Ceil(q*float64(len(s)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
+	return s[idx]
+}
+
+// TestQuantileMatchesSortReference: selection must return exactly what a
+// full sort returns, for every quantile, on random data with heavy ties,
+// on sorted and reversed input, and after the reservoir starts replacing
+// samples — with reads interleaved between observations, as a poller's
+// are.
+func TestQuantileMatchesSortReference(t *testing.T) {
+	qs := []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
+	rng := rand.New(rand.NewSource(42))
+	gens := map[string]func(i int) time.Duration{
+		"uniform":  func(int) time.Duration { return time.Duration(rng.Int63n(1 << 40)) },
+		"ties":     func(int) time.Duration { return time.Duration(rng.Intn(7)) },
+		"one-tie":  func(int) time.Duration { return 5 },
+		"sorted":   func(i int) time.Duration { return time.Duration(i) },
+		"reversed": func(i int) time.Duration { return time.Duration(1<<20 - i) },
+		"organ":    func(i int) time.Duration { return time.Duration(min(i%512, 511-i%512)) },
+	}
+	for name, gen := range gens {
+		for _, capSamples := range []int{1, 17, 1000} {
+			h := NewHistogram(capSamples)
+			for i := 0; i < 3*capSamples+50; i++ {
+				h.Observe(gen(i))
+				if i%7 != 0 {
+					continue
+				}
+				for _, q := range qs {
+					if got, want := h.Quantile(q), sortedQuantile(h.samples, q); got != want {
+						t.Fatalf("%s cap=%d n=%d q=%v: got %d, want %d", name, capSamples, i+1, q, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -28,6 +28,13 @@ var ErrStaleIndex = errors.New("storage: apply index not monotone")
 
 // Store is one site's versioned database. It is owned by the site's event
 // loop and performs no internal locking.
+//
+// Version arrays are append-only: every mutation either appends past a
+// chain's current length (install, MergeDelta) or swaps a freshly allocated
+// array into the map (MaxVersions trim, Restore, MergeDelta's Replace). No
+// path rewrites an element below a chain's length. That is what lets View
+// hand out chains that share the store's arrays: a reader of a view may run
+// on another goroutine while the loop keeps installing.
 type Store struct {
 	versions  map[message.Key][]message.VersionRec
 	truncated map[message.Key]bool // keys whose old versions were GC'd
@@ -199,6 +206,22 @@ func (s *Store) Snapshot() []message.SnapshotEntry {
 		vs := make([]message.VersionRec, len(src))
 		copy(vs, src)
 		out = append(out, message.SnapshotEntry{Key: k, Versions: vs})
+	}
+	return out
+}
+
+// View returns the committed state as entries that share the store's
+// version arrays, in map order (unsorted). Each chain is clipped to its
+// current length and capacity, so later appends never show through; by the
+// append-only invariant on Store a view stays valid, unchanged, and safe to
+// read from another goroutine while the owning loop keeps applying. It is
+// the O(keys) capture a background checkpoint encodes off the loop;
+// Snapshot is the sorted deep copy for state transfer.
+func (s *Store) View() []message.SnapshotEntry {
+	out := make([]message.SnapshotEntry, 0, len(s.versions))
+	for k, vs := range s.versions {
+		//reprolint:allow maporder a view is a set of chains; its only consumer (the checkpoint body) is order-free, and Restore rebuilds a map
+		out = append(out, message.SnapshotEntry{Key: k, Versions: vs[:len(vs):len(vs)]})
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -344,4 +345,59 @@ func TestDeltaReplaceAfterGC(t *testing.T) {
 	if _, _, err := recv.GetAt("x", 1); !errors.Is(err, ErrVersionGone) {
 		t.Fatalf("read below the replaced chain: err = %v, want ErrVersionGone", err)
 	}
+}
+
+// TestViewUnchangedByLaterInstalls: a View shares the store's version
+// arrays, so it relies on every later mutation appending past a chain's
+// length or swapping in a new array. Each mutation path runs after the
+// view is taken, and the view must read exactly what it read before.
+func TestViewUnchangedByLaterInstalls(t *testing.T) {
+	s := New(nil)
+	s.MaxVersions = 4
+	// Chains of length 3 have spare capacity (append grew them to 4), so
+	// the next install writes into the same backing array.
+	for i := 1; i <= 3; i++ {
+		mustApply(t, s, txn(0, i), uint64(3*i-2), kv("a", fmt.Sprintf("a%d", i)))
+		mustApply(t, s, txn(1, i), uint64(3*i-1), kv("b", fmt.Sprintf("b%d", i)))
+		mustApply(t, s, txn(2, i), uint64(3*i), kv("c", fmt.Sprintf("c%d", i)))
+	}
+	// A chain already at MaxVersions: its next install trims again.
+	for i := 1; i <= 6; i++ {
+		mustApply(t, s, txn(3, i), uint64(i), kv("e", fmt.Sprintf("e%d", i)))
+	}
+	view := s.View()
+	want := make([]message.SnapshotEntry, len(view))
+	for i, e := range view {
+		want[i] = message.SnapshotEntry{Key: e.Key, Versions: append([]message.VersionRec(nil), e.Versions...)}
+	}
+	sorted := append([]message.SnapshotEntry(nil), view...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	if !reflect.DeepEqual(sorted, s.Snapshot()) {
+		t.Fatalf("view %+v does not hold the snapshot's state %+v", sorted, s.Snapshot())
+	}
+	check := func(step string) {
+		t.Helper()
+		if !reflect.DeepEqual(view, want) {
+			t.Fatalf("after %s the view changed:\n got %+v\nwant %+v", step, view, want)
+		}
+	}
+
+	mustApply(t, s, txn(0, 10), 10, kv("a", "a4")) // in-place append past len
+	check("Apply")
+	if err := s.ApplyBatch([]BatchEntry{
+		{Txn: txn(0, 11), Writes: []message.KV{kv("a", "a5")}, Index: 11}, // trims a past MaxVersions
+		{Txn: txn(1, 11), Writes: []message.KV{kv("b", "b4"), kv("d", "d1"), kv("e", "e7")}, Index: 12},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("ApplyBatch with a MaxVersions trim")
+	s.MergeDelta([]message.SnapshotEntry{
+		{Key: "b", Versions: []message.VersionRec{{Index: 13, Writer: txn(2, 13), Value: message.Value("b5")}}},
+		{Key: "c", Replace: true, Versions: []message.VersionRec{{Index: 14, Writer: txn(2, 14), Value: message.Value("c9")}}},
+	}, 14)
+	check("MergeDelta")
+	s.Restore([]message.SnapshotEntry{{Key: "a", Versions: []message.VersionRec{{Index: 20, Writer: txn(0, 20), Value: message.Value("r")}}}}, 20)
+	check("Restore")
+	mustApply(t, s, txn(0, 21), 21, kv("a", "after-restore"))
+	check("Apply after Restore")
 }

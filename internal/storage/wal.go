@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -272,7 +273,7 @@ func replaySegments(dir string, fn func(Record) error) (lastPath string, validOf
 		if err != nil {
 			return "", 0, err
 		}
-		off, rerr := ReplayPrefix(f, fn)
+		off, rerr := ReplayPrefix(bufio.NewReaderSize(f, replayBufBytes), fn)
 		var size int64
 		if fi, serr := f.Stat(); serr == nil {
 			size = fi.Size()
@@ -312,37 +313,36 @@ func TruncateTail(path string, off int64) error {
 // segment is never deleted, so OpenSegments still resumes on it. Returns
 // the number of segments removed.
 //
-// A segment that fails to decode is left in place: truncation must never
-// outrun what recovery can actually read, and the corrupt segment will
-// surface on the next replay instead of being silently discarded.
+// A segment that fails its checksum or is torn is left in place:
+// truncation must never outrun what recovery can actually read, and the
+// corrupt segment will surface on the next replay instead of being silently
+// discarded.
+//
+// Each sealed segment is scanned header-first (scanMaxIndex): records are
+// checksummed and their index read, but no writes are decoded. It is safe
+// to run off the event loop while the loop appends: the loop only ever
+// writes the newest segment, which is never removed, and a segment only
+// appears sealed in the listing once its successor exists, i.e. after the
+// rotation synced and closed it.
 func TruncateSegments(dir string, floor uint64) (int, error) {
 	files, err := SegmentFiles(dir)
 	if err != nil {
 		return 0, err
 	}
 	removed := 0
+	var buf []byte
 	for i, path := range files {
 		if i == len(files)-1 {
 			break // never the active segment
 		}
-		f, err := os.Open(path)
+		var maxIdx uint64
+		var clean bool
+		maxIdx, clean, buf, err = scanMaxIndex(path, buf)
 		if err != nil {
 			return removed, err
 		}
-		maxIdx := uint64(0)
-		off, rerr := ReplayPrefix(f, func(r Record) error {
-			if r.Index > maxIdx {
-				maxIdx = r.Index
-			}
-			return nil
-		})
-		var size int64
-		if fi, serr := f.Stat(); serr == nil {
-			size = fi.Size()
-		}
-		f.Close()
-		if rerr != nil || off < size {
-			// Undecodable or short mid-log segment: leave it for replay to
+		if !clean {
+			// Corrupt or short mid-log segment: leave it for replay to
 			// diagnose.
 			break
 		}
@@ -355,6 +355,68 @@ func TruncateSegments(dir string, floor uint64) (int, error) {
 		removed++
 	}
 	return removed, nil
+}
+
+// replayBufBytes sizes the read buffer replay and the truncation scan put
+// in front of a segment file, so a record costs no read syscalls of its
+// own.
+const replayBufBytes = 64 << 10
+
+// fixedBodyBytes is the fixed prefix of a record body (index, txn site,
+// txn seq, write count); a shorter body cannot decode.
+const fixedBodyBytes = 8 + 4 + 8 + 4
+
+// scanMaxIndex reads one segment's records header-first: it checks each
+// record's checksum and reads its index without decoding the writes. clean
+// is false when a record is torn, fails its checksum, or is too short to
+// decode — whatever replay would stop at. buf is a reusable body buffer,
+// returned (possibly grown) for the next call.
+func scanMaxIndex(path string, buf []byte) (maxIdx uint64, clean bool, _ []byte, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false, buf, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false, buf, err
+	}
+	left := fi.Size() // bytes not yet read
+	rd := bufio.NewReaderSize(f, replayBufBytes)
+	var hdr [8]byte
+	for {
+		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+			if errors.Is(err, io.EOF) {
+				return maxIdx, true, buf, nil // clean end at a record boundary
+			}
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				return maxIdx, false, buf, nil // torn header
+			}
+			return maxIdx, false, buf, err
+		}
+		left -= int64(len(hdr))
+		size := binary.LittleEndian.Uint32(hdr[0:4])
+		if int64(size) > left || size < fixedBodyBytes {
+			return maxIdx, false, buf, nil // torn, or too short to decode
+		}
+		left -= int64(size)
+		if cap(buf) < int(size) {
+			buf = make([]byte, size)
+		}
+		body := buf[:size]
+		if _, err := io.ReadFull(rd, body); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return maxIdx, false, buf, nil // torn body
+			}
+			return maxIdx, false, buf, err
+		}
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
+			return maxIdx, false, buf, nil
+		}
+		if idx := binary.LittleEndian.Uint64(body); idx > maxIdx {
+			maxIdx = idx
+		}
+	}
 }
 
 // RecoverSegments rebuilds a store from a segmented log and reopens the log
@@ -505,6 +567,7 @@ func Replay(rd io.Reader, fn func(Record) error) error {
 func ReplayPrefix(rd io.Reader, fn func(Record) error) (int64, error) {
 	var off int64
 	var hdr [8]byte
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -517,7 +580,12 @@ func ReplayPrefix(rd io.Reader, fn func(Record) error) (int64, error) {
 		if size > 1<<28 {
 			return off, fmt.Errorf("%w: implausible record size %d", ErrCorrupt, size)
 		}
-		body := make([]byte, size)
+		// decodeBody copies keys and values out, so one body buffer
+		// serves every record.
+		if cap(buf) < int(size) {
+			buf = make([]byte, size)
+		}
+		body := buf[:size]
 		if _, err := io.ReadFull(rd, body); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return off, nil // torn tail

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -639,5 +641,62 @@ func TestAppendedBytes(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTruncateSegmentsStopsAtTornSegment: the header-only scan must treat a
+// sealed segment that ends mid-record (or holds a record too short to
+// decode) like a corrupt one and remove nothing from it onwards, while a
+// clean segment before it still goes.
+func TestTruncateSegmentsStopsAtTornSegment(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"torn body":   func(b []byte) []byte { return b[:len(b)-3] },
+		"torn header": func(b []byte) []byte { return append(b, 1, 2, 3) },
+		"short body": func(b []byte) []byte {
+			body := []byte{1, 2, 3, 4}
+			var hdr [8]byte
+			binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
+			binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
+			return append(append(b, hdr[:]...), body...)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := OpenSegments(dir, 64)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			big := make(message.Value, 50)
+			for i := 1; i <= 4; i++ {
+				if err := l.Append(Record{Index: uint64(i), Txn: txn(0, i), Writes: []message.KV{{Key: "k", Value: big}}}); err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			files, _ := SegmentFiles(dir)
+			if len(files) < 4 {
+				t.Fatalf("rotation did not happen: %v", files)
+			}
+			b, err := os.ReadFile(files[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(files[1], damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n, err := TruncateSegments(dir, 100)
+			if err != nil {
+				t.Fatalf("truncate: %v", err)
+			}
+			if n != 1 {
+				t.Fatalf("truncated %d segments, want only the clean one before the damage", n)
+			}
+			after, _ := SegmentFiles(dir)
+			if len(after) != len(files)-1 || after[0] != files[1] {
+				t.Fatalf("segments %v -> %v: the damaged segment or a later one was removed", files, after)
+			}
+		})
 	}
 }

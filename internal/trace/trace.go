@@ -114,8 +114,10 @@ const (
 	// size (number of messages sharing the consensus instance).
 	KindBatchOrder
 
-	// KindCheckpoint is an interval spanning one durable checkpoint:
-	// group-commit barrier through WAL truncation. Non-transactional
+	// KindCheckpoint is an interval spanning one durable checkpoint: from
+	// the group-commit barrier and capture on the event loop until the
+	// persist (write, fsync, prune, WAL truncation), which may run off the
+	// loop, has handed its result back to the loop. Non-transactional
 	// (zero trace ID); Seq is the checkpointed applied index, Extra the
 	// checkpoint file's size in bytes.
 	KindCheckpoint
