@@ -47,8 +47,8 @@ tracecheck:
 	$(BIN)/simtrace -proto atomic -atomic-mode batch -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 
 # fuzz mirrors CI's advisory fuzz sweep: 30s per fuzz target in the
-# storage (WAL) and checkpoint packages.
-FUZZ_PKGS := ./internal/storage/ ./internal/checkpoint/
+# storage (WAL), checkpoint and message (wire codec) packages.
+FUZZ_PKGS := ./internal/storage/ ./internal/checkpoint/ ./internal/message/
 
 fuzz:
 	@for pkg in $(FUZZ_PKGS); do \

@@ -30,9 +30,10 @@
 //
 // Segmented directories may also hold checkpoint files (ckpt-*.ckpt) written
 // by internal/checkpoint. walcheck verifies each one's checksum, prints its
-// applied index and file format version (1: gob body, 2: varint body), seeds the
-// site's version chains from the newest valid checkpoint before replaying the
-// WAL suffix above its applied index, and cross-checks that the truncated WAL
+// applied index and file format version (1: gob body, 2: varint body with a
+// gob meta part, 3: all binary), seeds the site's version chains from the
+// newest valid checkpoint before replaying the WAL suffix above its applied
+// index, and cross-checks that the truncated WAL
 // still meets the checkpoint (a first record more than one index above the
 // checkpoint's applied index means truncation outran durability). Orphaned
 // ckpt-*.ckpt.tmp files — a crash mid-checkpoint-write — are reported but are

@@ -237,7 +237,7 @@ func TestWalcheckCheckpointedDir(t *testing.T) {
 	if !strings.Contains(s, "checkpoint at index 2 (1 keys)") {
 		t.Fatalf("checkpoint not surfaced in the summary:\n%s", s)
 	}
-	if !strings.Contains(s, "checkpoint at index 2: format v2, 1 keys") {
+	if !strings.Contains(s, "checkpoint at index 2: format v3, 1 keys") {
 		t.Fatalf("checkpoint file format version not listed:\n%s", s)
 	}
 	if !strings.Contains(s, "orphaned checkpoint temp file") {

@@ -76,7 +76,7 @@ func (bs *batchState) enqueue(p pair) {
 		return
 	}
 	bs.open = append(bs.open, p)
-	bs.openBytes += message.EstimateSize(b)
+	bs.openBytes += message.Size(b)
 	if len(bs.open) >= bs.s.cfg.BatchMaxMsgs || bs.openBytes >= bs.s.cfg.BatchMaxBytes {
 		bs.seal()
 		return

@@ -42,13 +42,13 @@ var ErrCorrupt = errors.New("checkpoint: corrupt file")
 // magic ("rpCK" + big-endian format version), the body length, and the
 // body's CRC32 (both little-endian uint32).
 //
-// Version 1 (read-only, kept so directories written before version 2 still
-// recover): the body is one gob-encoded Checkpoint.
+// Version 3 (written now): the body is the uvarint-length-prefixed meta
+// part, then a uvarint entry count and the entries in a varint binary
+// layout:
 //
-// Version 2: the body is a uvarint-length-prefixed gob blob of the small
-// {Applied, Stack, Shard} part, then a uvarint entry count and the entries
-// in a varint binary layout:
-//
+//	meta:     uvarint applied, then the stack frontiers and the shard
+//	          state in the message codec (message.AppendStackSync,
+//	          message.AppendShardRecovery)
 //	key:      uvarint len, bytes
 //	replace:  1 byte (0 or 1)
 //	versions: uvarint count, then per version
@@ -56,9 +56,14 @@ var ErrCorrupt = errors.New("checkpoint: corrupt file")
 //
 // Entries are in no particular order (Restore builds a map). Write streams
 // the body straight into the file and back-fills the header.
+//
+// Versions 1 and 2 are read only, so directories written before version 3
+// still recover. Version 2 is version 3 with a gob-encoded meta part;
+// version 1's body is one gob-encoded Checkpoint.
 var (
 	magicV1 = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 1}
 	magicV2 = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 2}
+	magicV3 = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 3}
 )
 
 const headerBytes = 16
@@ -77,14 +82,14 @@ type Checkpoint struct {
 	// restart through it, so a crashed member's orphaned prepares can
 	// still be terminated.
 	Shard *message.ShardRecovery
-	// Format is the file format version Read found (1 or 2). It is not
+	// Format is the file format version Read found (1, 2 or 3). It is not
 	// persisted; Write always writes the current version.
 	Format int
 }
 
-// meta is the gob-encoded head of a version-2 body: everything except the
+// metaV2 is the gob-encoded head of a version-2 body: everything except the
 // entries.
-type meta struct {
+type metaV2 struct {
 	Applied uint64
 	Stack   *message.StackSync
 	Shard   *message.ShardRecovery
@@ -131,22 +136,17 @@ func IndexOf(path string) (uint64, error) {
 // temp file, back-fill the header, fsync, rename into place, fsync the
 // directory. Returns the final path and the file's size in bytes.
 func Write(dir string, ck *Checkpoint) (string, int64, error) {
-	head, err := encodeMeta(ck)
-	if err != nil {
-		return "", 0, err
-	}
-	return writeFile(dir, ck.Applied, head, ck.Entries)
+	return writeFile(dir, ck.Applied, encodeMeta(ck), ck.Entries)
 }
 
-// encodeMeta gob-encodes the part of ck that is not its entries. The
+// encodeMeta encodes the part of ck that is not its entries. The
 // checkpointer runs it on the event loop: unlike the entries, whose store
 // only ever appends past them, the stack and shard exports may share state
 // the engine goes on mutating.
-func encodeMeta(ck *Checkpoint) ([]byte, error) {
-	message.RegisterGob()
-	var b bytes.Buffer
-	err := gob.NewEncoder(&b).Encode(meta{Applied: ck.Applied, Stack: ck.Stack, Shard: ck.Shard})
-	return b.Bytes(), err
+func encodeMeta(ck *Checkpoint) []byte {
+	b := binary.AppendUvarint(nil, ck.Applied)
+	b = message.AppendStackSync(b, ck.Stack)
+	return message.AppendShardRecovery(b, ck.Shard)
 }
 
 // writeBufBytes sizes the buffer the body streams through; yieldBytes is
@@ -156,8 +156,8 @@ const (
 	yieldBytes    = 64 << 10
 )
 
-// writeFile writes a version-2 checkpoint at applied from an encoded meta
-// blob and the entries, never holding the whole body in memory.
+// writeFile writes a version-3 checkpoint at applied from an encoded meta
+// part and the entries, never holding the whole body in memory.
 func writeFile(dir string, applied uint64, head []byte, entries []message.SnapshotEntry) (string, int64, error) {
 	final := filePath(dir, applied)
 	tmp := final + ".tmp"
@@ -176,7 +176,7 @@ func writeFile(dir string, applied uint64, head []byte, entries []message.Snapsh
 	}
 	if err == nil {
 		var hdr [headerBytes]byte
-		copy(hdr[:8], magicV2[:])
+		copy(hdr[:8], magicV3[:])
 		binary.LittleEndian.PutUint32(hdr[8:12], uint32(n))
 		binary.LittleEndian.PutUint32(hdr[12:16], sum)
 		_, err = f.WriteAt(hdr[:], 0)
@@ -201,8 +201,8 @@ func writeFile(dir string, applied uint64, head []byte, entries []message.Snapsh
 	return final, headerBytes + n, nil
 }
 
-// writeBody streams a version-2 body into w through one buffer, returning
-// its length and CRC32.
+// writeBody streams a body into w through one buffer, returning its length
+// and CRC32.
 func writeBody(w io.Writer, head []byte, entries []message.SnapshotEntry) (int64, uint32, error) {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), writeBufBytes)
@@ -264,12 +264,12 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Read loads and validates one checkpoint file of either format version.
-// A header that claims more body than the file holds is rejected before
-// anything is allocated, and the version-2 entry section allocates nothing
-// in proportion to a count the body claims but does not contain. The gob
-// parts (a version-1 body, the version-2 meta) trust the checksum: it
-// guards against corruption, not forgery.
+// Read loads and validates one checkpoint file of any format version. A
+// header that claims more body than the file holds is rejected before
+// anything is allocated, and a version-3 body allocates nothing in
+// proportion to a count it claims but does not contain. The gob parts of
+// the older versions (a version-1 body, the version-2 meta) trust the
+// checksum: it guards against corruption, not forgery.
 func Read(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -291,7 +291,7 @@ func read(r io.Reader, fileSize int64) (*Checkpoint, error) {
 	}
 	var magic [8]byte
 	copy(magic[:], hdr[:8])
-	if magic != magicV1 && magic != magicV2 {
+	if magic != magicV1 && magic != magicV2 && magic != magicV3 {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	size := int64(binary.LittleEndian.Uint32(hdr[8:12]))
@@ -314,7 +314,7 @@ func decodeBody(magic [8]byte, body []byte) (*Checkpoint, error) {
 	if magic == magicV1 {
 		return decodeV1(body)
 	}
-	return decodeV2(body)
+	return decodeEntries(magic, body)
 }
 
 // decodeV1 decodes a version-1 (whole-gob) body.
@@ -328,142 +328,90 @@ func decodeV1(body []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// decodeV2 decodes a version-2 body. Version values alias body (one
-// allocation for all of them); keys are copied into strings.
-func decodeV2(body []byte) (*Checkpoint, error) {
-	d := decoder{b: body}
-	head := d.bytes(d.uvarint())
-	if d.err != nil {
-		return nil, d.corrupt("meta length")
+// decodeMeta decodes the meta part of a version-2 (gob) or version-3 body.
+func decodeMeta(magic [8]byte, head []byte) (*Checkpoint, error) {
+	if magic == magicV2 {
+		message.RegisterGob()
+		var m metaV2
+		if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&m); err != nil {
+			return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
+		}
+		return &Checkpoint{Applied: m.Applied, Stack: m.Stack, Shard: m.Shard, Format: 2}, nil
 	}
-	message.RegisterGob()
-	var m meta
-	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
+	r := message.NewReader(head)
+	ck := &Checkpoint{Applied: r.Uvarint(), Stack: r.StackSync(), Shard: r.ShardRecovery(), Format: 3}
+	if r.Err() != nil {
+		return nil, corrupt("meta", r.Err())
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing meta bytes", ErrCorrupt, r.Len())
+	}
+	return ck, nil
+}
+
+// decodeEntries decodes a version-2 or version-3 body. Version values
+// alias body (one allocation for all of them); keys are copied into
+// strings.
+func decodeEntries(magic [8]byte, body []byte) (*Checkpoint, error) {
+	r := message.NewReader(body)
+	head := r.Bytes(r.Uvarint())
+	if r.Err() != nil {
+		return nil, corrupt("meta length", r.Err())
+	}
+	ck, err := decodeMeta(magic, head)
+	if err != nil {
+		return nil, err
 	}
 	// An entry takes at least 3 bytes (key length, replace flag, version
 	// count), a version at least 4: counts beyond what the remaining body
 	// could hold are corruption, not allocation requests.
-	n := d.count(3)
-	if d.err != nil {
-		return nil, d.corrupt("entry count")
+	n := r.Count(3)
+	if r.Err() != nil {
+		return nil, corrupt("entry count", r.Err())
 	}
-	ck := &Checkpoint{Applied: m.Applied, Stack: m.Stack, Shard: m.Shard, Format: 2}
 	if n > 0 { // empty stays nil, as gob decodes it
 		ck.Entries = make([]message.SnapshotEntry, n)
 	}
 	for i := range ck.Entries {
 		e := &ck.Entries[i]
-		e.Key = message.Key(d.bytes(d.uvarint()))
-		switch flag := d.byte(); flag {
+		e.Key = message.Key(r.Bytes(r.Uvarint()))
+		switch flag := r.Byte(); flag {
 		case 0:
 		case 1:
 			e.Replace = true
 		default:
-			if d.err == nil {
+			if r.Err() == nil {
 				return nil, fmt.Errorf("%w: entry %d: replace flag %d", ErrCorrupt, i, flag)
 			}
 		}
-		nv := d.count(4)
-		if d.err != nil {
-			return nil, d.corrupt(fmt.Sprintf("entry %d", i))
+		nv := r.Count(4)
+		if r.Err() != nil {
+			return nil, corrupt(fmt.Sprintf("entry %d", i), r.Err())
 		}
 		if nv > 0 {
 			e.Versions = make([]message.VersionRec, nv)
 		}
 		for j := range e.Versions {
 			v := &e.Versions[j]
-			v.Index = d.uvarint()
-			v.Writer.Site = message.SiteID(d.varint())
-			v.Writer.Seq = d.uvarint()
-			if val := d.bytes(d.uvarint()); len(val) > 0 {
-				v.Value = message.Value(val[:len(val):len(val)])
+			v.Index = r.Uvarint()
+			v.Writer.Site = message.SiteID(r.Varint())
+			v.Writer.Seq = r.Uvarint()
+			if val := r.Bytes(r.Uvarint()); len(val) > 0 {
+				v.Value = message.Value(val)
 			}
 		}
-		if d.err != nil {
-			return nil, d.corrupt(fmt.Sprintf("entry %d", i))
+		if r.Err() != nil {
+			return nil, corrupt(fmt.Sprintf("entry %d", i), r.Err())
 		}
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(d.b))
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, r.Len())
 	}
 	return ck, nil
 }
 
-// decoder reads the varint layout; the first failure sticks in err and
-// every later read returns zero values.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) corrupt(what string) error {
-	return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, d.err)
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = errors.New("bad uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = errors.New("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c
-}
-
-func (d *decoder) bytes(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v
-}
-
-// count reads an element count and rejects one the rest of the body cannot
-// hold at minBytes per element.
-func (d *decoder) count(minBytes uint64) int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.b))/minBytes {
-		d.err = fmt.Errorf("count %d exceeds the %d bytes left", n, len(d.b))
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(n)
+func corrupt(what string, err error) error {
+	return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 }
 
 // Latest loads the newest valid checkpoint in dir, skipping corrupt or
@@ -764,12 +712,7 @@ func (c *Checkpointer) Run() string {
 		c.lastWALBytes = walBytes
 		return ""
 	}
-	head, err := encodeMeta(ck)
-	if err != nil {
-		c.stats.Errors++
-		c.rt.Logf("checkpoint: encode failed: %v", err)
-		return ""
-	}
+	head := encodeMeta(ck)
 	var res persisted
 	work := func() { res = c.persist(ck.Applied, head, ck.Entries) }
 	done := func() {

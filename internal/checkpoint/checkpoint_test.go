@@ -461,7 +461,7 @@ func writeV1(t *testing.T, dir string, ck *Checkpoint) string {
 
 // TestV1CheckpointStillRecovers: a directory written before format version
 // 2 (gob body) must still load and recover after an upgrade, and a newer
-// version-2 checkpoint beside it takes over.
+// checkpoint beside it takes over.
 func TestV1CheckpointStillRecovers(t *testing.T) {
 	dir := t.TempDir()
 	fillWAL(t, dir, 5)
@@ -487,23 +487,42 @@ func TestV1CheckpointStillRecovers(t *testing.T) {
 	}
 	w.Close()
 
-	// The next checkpoint is written as version 2 and wins.
+	// The next checkpoint is written in the current version and wins.
 	if _, _, err := Write(dir, &Checkpoint{Applied: st.Applied(), Entries: st.View()}); err != nil {
 		t.Fatal(err)
 	}
 	latest, _, err := Latest(dir)
-	if err != nil || latest == nil || latest.Format != 2 || latest.Applied != 5 {
+	if err != nil || latest == nil || latest.Format != 3 || latest.Applied != 5 {
 		t.Fatalf("latest after upgrade = %+v, %v", latest, err)
 	}
 }
 
-// TestWriteV2Layout: Write produces the version-2 magic, a header whose
-// length and checksum cover exactly the rest of the file, and a body that
-// round-trips every field, including the Replace flag, large indexes,
-// empty keys and values, and several versions per key.
-func TestWriteV2Layout(t *testing.T) {
-	dir := t.TempDir()
-	want := &Checkpoint{
+// writeV2 writes ck the way format version 2 did: the entry layout of
+// version 3 behind a gob-encoded meta part and the version-2 magic.
+func writeV2(t *testing.T, dir string, ck *Checkpoint) (string, int64) {
+	t.Helper()
+	message.RegisterGob()
+	var head bytes.Buffer
+	if err := gob.NewEncoder(&head).Encode(metaV2{Applied: ck.Applied, Stack: ck.Stack, Shard: ck.Shard}); err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if _, _, err := writeBody(&body, head.Bytes(), ck.Entries); err != nil {
+		t.Fatal(err)
+	}
+	path := filePath(dir, ck.Applied)
+	file := withHeader(magicV2, body.Bytes())
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, int64(len(file))
+}
+
+// layoutCheckpoint has every field a body carries: the Replace flag, large
+// indexes, empty keys and values, several versions per key, stack
+// frontiers with a held broadcast, and shard state.
+func layoutCheckpoint(format int) *Checkpoint {
+	return &Checkpoint{
 		Applied: 1 << 40,
 		Entries: []message.SnapshotEntry{
 			{Key: "z", Replace: true, Versions: []message.VersionRec{{Index: 1 << 40, Writer: txn(7, 1<<33), Value: message.Value("zz")}}},
@@ -513,18 +532,30 @@ func TestWriteV2Layout(t *testing.T) {
 				{Index: 9, Writer: txn(2, 5), Value: message.Value("x")},
 			}},
 		},
-		Stack:  &message.StackSync{CausalVC: vclock.VC{0, 4}},
-		Format: 2,
+		Stack: &message.StackSync{
+			CausalVC: vclock.VC{0, 4},
+			FifoNext: map[message.SiteID]uint64{1: 3},
+			HighSeq:  map[message.Class]map[message.SiteID]uint64{message.ClassAtomic: {0: 7}},
+			Held:     []*message.Bcast{{Class: message.ClassAtomic, Origin: 1, Seq: 8, Payload: &message.CommitReq{Txn: txn(1, 8), WriteKV: []message.KV{kv("a", "y")}}}},
+		},
+		Shard: &message.ShardRecovery{
+			Prepared: []message.PreparedShard{{Txn: txn(2, 6), Index: 11, Vote: true, Coord: 2, Groups: []message.GroupID{0, 1}, Keys: []message.Key{"a"}, Writes: []message.KV{kv("a", "w")}}},
+			Fenced:   []message.TxnID{txn(0, 4)},
+		},
+		Format: format,
 	}
-	path, size, err := Write(dir, want)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// checkLayout checks a checkpoint file: the magic, a header whose length
+// and checksum cover exactly the rest of the file, and a body that reads
+// back as want.
+func checkLayout(t *testing.T, path string, size int64, magic [8]byte, want *Checkpoint) {
+	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(b)) != size || !bytes.Equal(b[:8], magicV2[:]) {
+	if int64(len(b)) != size || !bytes.Equal(b[:8], magic[:]) {
 		t.Fatalf("file %d bytes (reported %d), magic %q", len(b), size, b[:8])
 	}
 	if n := binary.LittleEndian.Uint32(b[8:12]); int(n) != len(b)-headerBytes {
@@ -542,12 +573,31 @@ func TestWriteV2Layout(t *testing.T) {
 	}
 }
 
+// TestWriteV3Layout: Write produces the version-3 magic and a body that
+// round-trips every field.
+func TestWriteV3Layout(t *testing.T) {
+	want := layoutCheckpoint(3)
+	path, size, err := Write(t.TempDir(), want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLayout(t, path, size, magicV3, want)
+}
+
+// TestWriteV2Layout: a file in the version-2 layout (gob meta part) that
+// the previous release wrote still reads back every field.
+func TestWriteV2Layout(t *testing.T) {
+	want := layoutCheckpoint(2)
+	path, size := writeV2(t, t.TempDir(), want)
+	checkLayout(t, path, size, magicV2, want)
+}
+
 // TestReadRejectsOversizedClaim: a header claiming more body than the file
 // holds is corrupt, and is rejected before the claimed size is allocated.
 func TestReadRejectsOversizedClaim(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt-0000000000000001.ckpt")
 	var hdr [headerBytes]byte
-	copy(hdr[:8], magicV2[:])
+	copy(hdr[:8], magicV3[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], 1<<30)
 	if err := os.WriteFile(path, append(hdr[:], 1, 2, 3), 0o644); err != nil {
 		t.Fatal(err)

@@ -564,7 +564,7 @@ func (e *AtomicEngine) sendSnapshot(to message.SiteID, since uint64) {
 	for i, c := range chunks {
 		c.Seq = i
 		e.stats.StateChunksSent++
-		e.stats.StateBytesSent += int64(message.EstimateSize(c))
+		e.stats.StateBytesSent += int64(message.Size(c))
 		e.stats.StateEntriesSent += int64(len(c.Entries))
 		e.rt.Send(to, c)
 	}

@@ -1272,7 +1272,7 @@ func (g *shardGroup) sendSnapshot(to message.SiteID, since uint64) {
 	for i, c := range chunks {
 		c.Seq = i
 		e.stats.StateChunksSent++
-		e.stats.StateBytesSent += int64(message.EstimateSize(c))
+		e.stats.StateBytesSent += int64(message.Size(c))
 		e.stats.StateEntriesSent += int64(len(c.Entries))
 		g.send(to, c)
 	}

@@ -1,8 +1,10 @@
 package livenet
 
 import (
+	"bufio"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -293,9 +295,8 @@ func TestTCPCountersAndClose(t *testing.T) {
 	hosts[0].Do(func() { t.Fatal("Do ran after Close") })
 }
 
-func TestGobRoundTripAllMessages(t *testing.T) {
-	// Every wire message must survive a gob round trip inside an envelope.
-	message.RegisterGob()
+func TestWireRoundTripAllMessages(t *testing.T) {
+	// Every wire message must survive a frame round trip over a stream.
 	msgs := []message.Message{
 		&message.Bcast{Class: message.ClassCausal, Origin: 1, Seq: 2, VC: []uint64{1, 2}, Payload: &message.WriteReq{Txn: message.TxnID{Site: 1, Seq: 2}, Key: "k", Value: message.Value("v")}},
 		&message.SeqOrder{Sequencer: 0, Entries: []message.OrderEntry{{Origin: 1, Seq: 2, Index: 3}}},
@@ -334,22 +335,28 @@ func TestGobRoundTripAllMessages(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go func() {
-		enc := newEncoder(a)
+		var buf []byte
 		for _, m := range msgs {
-			if err := enc.Encode(envelope{From: 1, Msg: m}); err != nil {
-				t.Errorf("encode %v: %v", m.Kind(), err)
+			buf = appendFrame(buf[:0], m)
+			if _, err := a.Write(buf); err != nil {
+				t.Errorf("write %v: %v", m.Kind(), err)
 				return
 			}
 		}
 	}()
-	dec := newDecoder(b)
+	br := bufio.NewReader(b)
+	var frame []byte
 	for _, want := range msgs {
-		var e envelope
-		if err := dec.Decode(&e); err != nil {
+		var err error
+		if frame, err = readFrame(br, frame); err != nil {
+			t.Fatalf("read %v: %v", want.Kind(), err)
+		}
+		got, err := message.Decode(frame)
+		if err != nil {
 			t.Fatalf("decode %v: %v", want.Kind(), err)
 		}
-		if e.Msg.Kind() != want.Kind() {
-			t.Fatalf("kind mismatch: got %v want %v", e.Msg.Kind(), want.Kind())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip of %v:\n got %#v\nwant %#v", want.Kind(), got, want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -204,12 +203,11 @@ func TestHandshakeRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := gob.NewEncoder(conn)
-		if err := enc.Encode(hi); err != nil {
-			t.Fatalf("%s: encode hello: %v", name, err)
+		b := appendHello(nil, hi)
+		b = appendFrame(b, &message.Heartbeat{From: 0}) // as if from site 0 itself
+		if _, err := conn.Write(b); err != nil {
+			t.Fatalf("%s: write hello: %v", name, err)
 		}
-		// Spoofed envelope claiming to be site 0 itself.
-		_ = enc.Encode(envelope{From: 0, Msg: &message.Heartbeat{From: 0}})
 		// The host must close the connection on us.
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 		if _, err := conn.Read(make([]byte, 1)); err == nil {

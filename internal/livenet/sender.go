@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"bufio"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"time"
@@ -13,20 +12,21 @@ import (
 const (
 	// senderBufSize is the bufio.Writer capacity in front of each outbound
 	// connection; one flush per queue drain replaces one syscall per
-	// gob-encoded envelope.
+	// frame. It also caps the scratch buffer the sender keeps between
+	// frames, so one huge state transfer does not pin its size.
 	senderBufSize = 64 << 10
-	// maxFlushBatch bounds how many envelopes one drain coalesces, so a
+	// maxFlushBatch bounds how many messages one drain coalesces, so a
 	// deep queue cannot arbitrarily delay the first message of the batch.
 	maxFlushBatch = 256
 )
 
 // sender owns the outgoing connection to one peer: it dials lazily (with
 // jittered exponential backoff), performs the hello handshake, and drains
-// its queue in coalesced batches — encode every pending envelope into the
+// its queue in coalesced batches — frame every pending message into the
 // buffered writer, then flush once.
 //
 // Loss semantics mirror the simulator's lossy FIFO link: a message is never
-// duplicated. While disconnected, popped envelopes are held (not dropped)
+// duplicated. While disconnected, popped messages are held (not dropped)
 // until a connection is established; once a batch has been handed to an
 // established connection, a write error loses the whole batch (counted in
 // wireLost) because its delivery state is unknowable — retransmitting could
@@ -35,7 +35,7 @@ type sender struct {
 	host  *Host
 	to    message.SiteID
 	addr  string
-	out   chan envelope
+	out   chan message.Message
 	rng   *rand.Rand // jitter source; touched only by the run goroutine
 	stats *peerCounters
 }
@@ -45,41 +45,45 @@ func (s *sender) run() {
 	defer s.host.wg.Done()
 	var conn net.Conn
 	var bw *bufio.Writer
-	var enc *gob.Encoder
+	var scratch []byte // one frame's encoding, reused across frames
 	defer func() {
 		if conn != nil {
 			conn.Close()
 		}
 	}()
-	batch := make([]envelope, 0, maxFlushBatch)
+	batch := make([]message.Message, 0, maxFlushBatch)
 	for {
 		select {
 		case <-s.host.stop:
 			return
-		case e := <-s.out:
-			batch = append(batch[:0], e)
+		case m := <-s.out:
+			batch = append(batch[:0], m)
 		drain:
 			for len(batch) < maxFlushBatch {
 				select {
-				case e := <-s.out:
-					batch = append(batch, e)
+				case m := <-s.out:
+					batch = append(batch, m)
 				default:
 					break drain
 				}
 			}
 			if conn == nil {
-				conn, bw, enc = s.connect()
+				conn, bw = s.connect()
 				if conn == nil {
 					return // host shut down while dialing
 				}
 			}
 			ok := true
-			for _, e := range batch {
-				if err := enc.Encode(e); err != nil {
+			for _, m := range batch {
+				scratch = appendFrame(scratch[:0], m)
+				if _, err := bw.Write(scratch); err != nil {
 					s.host.logf("send to %v: %v", s.to, err)
 					ok = false
 					break
 				}
+			}
+			if cap(scratch) > senderBufSize {
+				scratch = nil
 			}
 			if ok {
 				if err := bw.Flush(); err != nil {
@@ -93,7 +97,7 @@ func (s *sender) run() {
 			} else {
 				s.stats.wireLost.Add(int64(len(batch)))
 				conn.Close()
-				conn, bw, enc = nil, nil, nil
+				conn, bw = nil, nil
 			}
 		}
 	}
@@ -102,12 +106,12 @@ func (s *sender) run() {
 // connect dials s.addr until a connection is established and the hello
 // handshake is written, backing off exponentially with ±50% jitter between
 // attempts. It returns nils only when the host shuts down.
-func (s *sender) connect() (net.Conn, *bufio.Writer, *gob.Encoder) {
+func (s *sender) connect() (net.Conn, *bufio.Writer) {
 	backoff := s.host.cfg.DialRetry
 	for {
-		if conn, bw, enc, err := s.dialOnce(); err == nil {
+		if conn, bw, err := s.dialOnce(); err == nil {
 			s.stats.connects.Add(1)
-			return conn, bw, enc
+			return conn, bw
 		} else {
 			s.stats.dialErrors.Add(1)
 			s.host.logf("dial %v (%s): %v (retry in ~%v)", s.to, s.addr, err, backoff)
@@ -116,7 +120,7 @@ func (s *sender) connect() (net.Conn, *bufio.Writer, *gob.Encoder) {
 		sleep := backoff/2 + time.Duration(s.rng.Int63n(int64(backoff)))
 		select {
 		case <-s.host.stop:
-			return nil, nil, nil
+			return nil, nil
 		case <-time.After(sleep):
 		}
 		backoff *= 2
@@ -127,20 +131,19 @@ func (s *sender) connect() (net.Conn, *bufio.Writer, *gob.Encoder) {
 }
 
 // dialOnce makes one connection attempt, including the handshake frame.
-func (s *sender) dialOnce() (net.Conn, *bufio.Writer, *gob.Encoder, error) {
+func (s *sender) dialOnce() (net.Conn, *bufio.Writer, error) {
 	conn, err := net.DialTimeout("tcp", s.addr, dialTimeout)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	bw := bufio.NewWriterSize(conn, senderBufSize)
-	enc := gob.NewEncoder(bw)
-	err = enc.Encode(hello{Magic: helloMagic, From: s.host.cfg.ID})
+	_, err = bw.Write(appendHello(nil, hello{Magic: helloMagic, From: s.host.cfg.ID}))
 	if err == nil {
 		err = bw.Flush()
 	}
 	if err != nil {
 		conn.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return conn, bw, enc, nil
+	return conn, bw, nil
 }

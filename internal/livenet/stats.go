@@ -12,10 +12,10 @@ import (
 // sender goroutine, the inbound read loop, and Send all update it
 // concurrently while status endpoints read it.
 type peerCounters struct {
-	sent       metrics.Counter // envelopes flushed to the wire (or delivered via loopback)
-	received   metrics.Counter // envelopes decoded from this peer's connections
+	sent       metrics.Counter // messages flushed to the wire (or delivered via loopback)
+	received   metrics.Counter // messages decoded from this peer's connections
 	dropped    metrics.Counter // enqueue failures: send queue (or loopback queue) full
-	wireLost   metrics.Counter // envelopes lost when an established connection failed mid-batch
+	wireLost   metrics.Counter // messages lost when an established connection failed mid-batch
 	connects   metrics.Counter // successful dials (first connect plus every reconnect)
 	dialErrors metrics.Counter // failed dial or handshake attempts
 	flushBatch *metrics.SyncHistogram
@@ -29,13 +29,13 @@ func newPeerCounters() *peerCounters {
 // counters. The entry for the host's own id describes the loopback queue.
 type PeerStats struct {
 	Peer       message.SiteID
-	Sent       int64 // envelopes written and flushed (loopback: delivered locally)
-	Received   int64 // envelopes decoded from this peer
+	Sent       int64 // messages written and flushed (loopback: delivered locally)
+	Received   int64 // messages decoded from this peer
 	Dropped    int64 // lost to a full send queue
 	WireLost   int64 // lost to a connection failure mid-write
 	Connects   int64 // successful dials (reconnects = Connects - 1)
 	DialErrors int64 // failed dial/handshake attempts
-	QueueDepth int   // outgoing envelopes currently queued
+	QueueDepth int   // outgoing messages currently queued
 	QueueCap   int
 	FlushBatch string // batch-size distribution: n/mean/p50/p99/max
 }
@@ -88,7 +88,7 @@ func (h *Host) TransportSummary() string {
 }
 
 // Counters returns total (sent, received, dropped) message counts across
-// all peer links; dropped includes both queue-full drops and envelopes
+// all peer links; dropped includes both queue-full drops and messages
 // lost to connection failures. Safe from any goroutine.
 func (h *Host) Counters() (sent, received, dropped int64) {
 	for _, st := range h.stats {

@@ -1,8 +1,9 @@
 // Package message defines the identifiers and wire messages exchanged by
 // every layer of the replicated-database stack: the broadcast primitives,
 // the membership service, the replication protocols, and the point-to-point
-// baseline. Keeping all wire types in one leaf package lets both the
-// deterministic simulator and the TCP runtime share a single codec.
+// baseline. Keeping all wire types in one leaf package lets the
+// deterministic simulator charge exactly the bytes the TCP runtime puts
+// on the wire: both use the one binary codec (codec.go).
 package message
 
 import (

@@ -820,8 +820,12 @@ type ShardRecovery struct {
 	Fenced   []TxnID
 }
 
-// RegisterGob registers every concrete message type with encoding/gob so
-// the TCP runtime can transport them. Safe to call more than once.
+// RegisterGob registers every concrete message type with encoding/gob.
+// It is no longer the wire format — the transport and checkpoints use the
+// binary codec (Append/Decode) — but every message type stays
+// gob-encodable for tools that still use gob, such as the benchmark's
+// per-layer codec probe and the reader of version-1 and version-2
+// checkpoints. Safe to call more than once.
 func RegisterGob() {
 	gob.Register(&Bcast{})
 	gob.Register(&SeqOrder{})
@@ -944,194 +948,4 @@ func TxnOf(m Message) (TxnID, bool) {
 		return t.Txn, true
 	}
 	return TxnID{}, false
-}
-
-// EstimateSize approximates the wire size of a message in bytes. The
-// simulated network uses it for latency models and byte accounting without
-// paying for real serialization.
-func EstimateSize(m Message) int {
-	const hdr = 16 // kind + framing overhead
-	switch t := m.(type) {
-	case *Bcast:
-		return hdr + 28 + 8*len(t.VC) + EstimateSize(t.Payload)
-	case *SeqOrder:
-		return hdr + 20*len(t.Entries)
-	case *BatchOrder:
-		return hdr + 12 + 20*len(t.Entries)
-	case *IsisPropose, *IsisFinal:
-		return hdr + 28
-	case *Heartbeat:
-		return hdr + 12
-	case *ViewPropose:
-		return hdr + 12 + 4*len(t.View.Members)
-	case *ViewAck:
-		return hdr + 12
-	case *ViewInstall:
-		return hdr + 8 + 4*len(t.View.Members)
-	case *StateRequest:
-		return hdr + 12
-	case *RetransmitReq:
-		return hdr + 20
-	case *StateSnapshot:
-		n := hdr + 12
-		for _, e := range t.Entries {
-			n += len(e.Key)
-			for _, v := range e.Versions {
-				n += 20 + len(v.Value)
-			}
-		}
-		n += stackSyncSize(t.Stack) + pendingSize(t.Pending)
-		return n
-	case *SnapshotChunk:
-		n := hdr + 29 // From + Applied + Since + Seq + Last
-		for _, e := range t.Entries {
-			n += 1 + len(e.Key)
-			for _, v := range e.Versions {
-				n += 20 + len(v.Value)
-			}
-		}
-		n += stackSyncSize(t.Stack) + pendingSize(t.Pending) + shardRecoverySize(t.Shard)
-		return n
-	case *SyncState:
-		return hdr + 4 + stackSyncSize(t.Stack) + pendingSize(t.Pending)
-	case *WriteReq:
-		return hdr + 16 + len(t.Key) + len(t.Value)
-	case *WriteAck:
-		return hdr + 20
-	case *TxnNack:
-		return hdr + 16 + len(t.Key)
-	case *VoteReq:
-		return hdr + 12
-	case *Vote:
-		return hdr + 20
-	case *Decision:
-		return hdr + 16
-	case *CommitReq:
-		n := hdr + 16
-		for _, r := range t.Reads {
-			n += 8 + len(r.Key)
-		}
-		for _, w := range t.Writes {
-			n += 8 + len(w.Key)
-		}
-		for _, kv := range t.WriteKV {
-			n += len(kv.Key) + len(kv.Value)
-		}
-		return n
-	case *CausalNull:
-		return hdr + 4
-	case *WriteBatch:
-		n := hdr + 12
-		for _, kv := range t.Writes {
-			n += 8 + len(kv.Key) + len(kv.Value)
-		}
-		return n
-	case *UWrite:
-		return hdr + 16 + len(t.Key) + len(t.Value)
-	case *UWriteAck:
-		return hdr + 20
-	case *Wound:
-		return hdr + 16
-	case *Prepare:
-		return hdr + 12
-	case *PrepareVote:
-		return hdr + 20
-	case *PDecision:
-		return hdr + 16
-	case *QReadReq:
-		return hdr + 16 + len(t.Key)
-	case *QReadReply:
-		return hdr + 28 + len(t.Key) + len(t.Value)
-	case *QLockReq:
-		n := hdr + 12
-		for _, k := range t.Keys {
-			n += 4 + len(k)
-		}
-		return n
-	case *QLockReply:
-		n := hdr + 16
-		for _, kv := range t.Vers {
-			n += 8 + len(kv.Key)
-		}
-		return n
-	case *QCommit:
-		n := hdr + 12
-		for _, kv := range t.Writes {
-			n += len(kv.Key) + len(kv.Value)
-		}
-		n += 8 * len(t.Vers)
-		return n
-	case *QRelease:
-		return hdr + 12
-	case *GroupMsg:
-		return hdr + 4 + EstimateSize(t.Inner)
-	case *ShardPrepare:
-		n := hdr + 24 + 4*len(t.Groups)
-		for _, r := range t.Reads {
-			n += 8 + len(r.Key)
-		}
-		for _, kv := range t.WriteKV {
-			n += len(kv.Key) + len(kv.Value)
-		}
-		return n
-	case *ShardVote:
-		return hdr + 24
-	case *ShardDecision:
-		return hdr + 20
-	case *ShardForward:
-		return hdr + 4 + EstimateSize(t.Req)
-	case *ShardOutcome:
-		return hdr + 20
-	case *CoordQuery:
-		return hdr + 24
-	case *CoordStatus:
-		return hdr + 28
-	default:
-		return hdr
-	}
-}
-
-// stackSyncSize approximates the wire size of an embedded StackSync.
-func stackSyncSize(s *StackSync) int {
-	if s == nil {
-		return 0
-	}
-	n := 8*len(s.CausalVC) + 12*len(s.FifoNext)
-	for _, m := range s.HighSeq {
-		n += 4 + 12*len(m)
-	}
-	for _, b := range s.Held {
-		n += EstimateSize(b)
-	}
-	return n
-}
-
-// shardRecoverySize approximates the wire size of an embedded ShardRecovery.
-func shardRecoverySize(sr *ShardRecovery) int {
-	if sr == nil {
-		return 0
-	}
-	n := 20*len(sr.Decided) + 12*len(sr.Fenced)
-	for _, p := range sr.Prepared {
-		n += 28 + 4*len(p.Groups)
-		for _, k := range p.Keys {
-			n += 4 + len(k)
-		}
-		for _, kv := range p.Writes {
-			n += len(kv.Key) + len(kv.Value)
-		}
-	}
-	return n
-}
-
-// pendingSize approximates the wire size of an embedded pending-write map.
-func pendingSize(p map[TxnID][]KV) int {
-	n := 0
-	for _, kvs := range p {
-		n += 12
-		for _, kv := range kvs {
-			n += len(kv.Key) + len(kv.Value)
-		}
-	}
-	return n
 }

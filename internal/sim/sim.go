@@ -349,7 +349,7 @@ func (s *siteRT) Send(to message.SiteID, m message.Message) {
 	if s.crashed {
 		return
 	}
-	size := message.EstimateSize(m)
+	size := message.Size(m)
 	c.stats.Messages++
 	c.stats.Bytes += int64(size)
 	c.stats.ByKind[m.Kind()]++
